@@ -1,9 +1,6 @@
 package stoch
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // MaxLanes is the number of independent Monte Carlo vector streams one
 // machine word carries: one per bit.
@@ -113,11 +110,9 @@ func (ps *PackedStimulus) Validate() error {
 	return nil
 }
 
-// packedEvent is one input change of one lane during packing.
-type packedEvent struct {
-	time  float64
-	input int
-	value bool
+// stepToggle records that an input changed during a lane's settling step.
+type stepToggle struct {
+	step, input int32
 }
 
 // PackWaveforms bit-packs per-lane waveform sets into a PackedStimulus:
@@ -127,7 +122,12 @@ type packedEvent struct {
 // the horizon are dropped, events at the same instant within a lane
 // collapse into one step, and events that do not change the input value
 // contribute no step — the packed sequence records exactly the settling
-// instants a zero-delay simulation of the same waveforms would see.
+// instants a zero-delay simulation of the same waveforms would see. A
+// waveform whose event times are NaN or decreasing is an error.
+//
+// Each lane's input streams are merged by (time, input); every settling
+// step's input changes are recorded as (step, input) toggles, XORed into
+// Bits and turned into states by one prefix-XOR pass per input row.
 func PackWaveforms(inputs []string, lanes []map[string]*Waveform, horizon float64) (*PackedStimulus, error) {
 	if len(lanes) < 1 || len(lanes) > MaxPackLanes {
 		return nil, fmt.Errorf("stoch: %d lanes out of [1,%d]", len(lanes), MaxPackLanes)
@@ -143,72 +143,99 @@ func PackWaveforms(inputs []string, lanes []map[string]*Waveform, horizon float6
 		Horizon: horizon,
 		Initial: make([]uint64, len(inputs)*W),
 	}
-	// Per lane: the sequence of input-state snapshots, one per instant at
-	// which at least one input actually changes.
-	snapshots := make([][][]bool, len(lanes))
-	for l, waves := range lanes {
-		state := make([]bool, len(inputs))
-		var evs []packedEvent
-		for i, in := range inputs {
-			w, ok := waves[in]
-			if !ok {
-				return nil, fmt.Errorf("stoch: lane %d has no waveform for input %q", l, in)
-			}
-			state[i] = w.Initial
-			if w.Initial {
-				ps.Initial[i*W+l/MaxLanes] |= 1 << uint(l%MaxLanes)
-			}
-			for _, e := range w.Events {
-				if e.Time > horizon {
-					break
-				}
-				evs = append(evs, packedEvent{time: e.Time, input: i, value: e.Value})
-			}
-		}
-		sort.SliceStable(evs, func(a, b int) bool { return evs[a].time < evs[b].time })
-		for k := 0; k < len(evs); {
-			t := evs[k].time
-			changed := false
-			for ; k < len(evs) && evs[k].time == t; k++ {
-				if state[evs[k].input] != evs[k].value {
-					state[evs[k].input] = evs[k].value
-					changed = true
-				}
-			}
-			if changed {
-				snapshots[l] = append(snapshots[l], append([]bool(nil), state...))
-			}
-		}
+	waves, _, err := resolveLanes(inputs, lanes, ps.Initial, W)
+	if err != nil {
+		return nil, err
 	}
-	for _, seq := range snapshots {
-		if len(seq) > ps.Steps {
-			ps.Steps = len(seq)
+	streams := make([][]Event, len(waves)) // waves' events up to the horizon
+	events := 0
+	for k, w := range waves {
+		streams[k] = eventsUpTo(w.Events, horizon)
+		events += len(streams[k])
+	}
+	var (
+		toggles = make([]stepToggle, 0, events) // every lane's toggles, lane after lane: at most one per event
+		laneEnd = make([]int, len(lanes))
+		state   = make([]bool, len(inputs))
+		merge   = streamMerge[Event, float64]{key: eventTime}
+	)
+	for l := range lanes {
+		for i := range state {
+			state[i] = waves[l*len(inputs)+i].Initial
 		}
+		merge.reset(streams[l*len(inputs) : (l+1)*len(inputs)])
+		// A step is an instant at which some input changes value. An
+		// input that changes twice in one instant toggles twice, and the
+		// XOR fill cancels the pair.
+		step := int32(0)
+		run, i, ok := merge.next()
+		for ok {
+			t, mark := run[0].Time, len(toggles)
+			for ; ok && run[0].Time == t; run, i, ok = merge.next() {
+				for _, e := range run {
+					if state[i] != e.Value {
+						state[i] = e.Value
+						toggles = append(toggles, stepToggle{step: step, input: int32(i)})
+					}
+				}
+			}
+			if len(toggles) > mark {
+				step++
+			}
+		}
+		ps.Steps = max(ps.Steps, int(step))
+		laneEnd[l] = len(toggles)
 	}
 	ps.Bits = make([][]uint64, len(inputs))
 	for i := range inputs {
 		ps.Bits[i] = make([]uint64, ps.Steps*W)
 	}
-	for l, seq := range snapshots {
+	start := 0
+	for l, end := range laneEnd {
 		word, bit := l/MaxLanes, uint64(1)<<uint(l%MaxLanes)
-		for s := 0; s < ps.Steps; s++ {
-			var snap []bool
-			switch {
-			case s < len(seq):
-				snap = seq[s]
-			case len(seq) > 0:
-				snap = seq[len(seq)-1] // lane exhausted: hold final state
-			}
-			for i := range inputs {
-				v := snap != nil && snap[i]
-				if snap == nil { // lane has no events at all: hold initial
-					v = ps.Initial[i*W+word]&bit != 0
-				}
-				if v {
-					ps.Bits[i][s*W+word] |= bit
-				}
+		for _, tg := range toggles[start:end] {
+			ps.Bits[tg.input][int(tg.step)*W+word] ^= bit
+		}
+		start = end
+	}
+	// Prefix XOR: each step's word becomes the state after that step.
+	// Lanes that ran out of steps, or never had one, hold their state.
+	for i, row := range ps.Bits {
+		var acc [MaxWords]uint64
+		copy(acc[:W], ps.Initial[i*W:])
+		for s := 0; s < len(row); s += W {
+			for w := 0; w < W; w++ {
+				acc[w] ^= row[s+w]
+				row[s+w] = acc[w]
 			}
 		}
 	}
 	return ps, nil
+}
+
+// resolveLanes looks up every lane's waveform for every input, returning
+// them flat in [lane·len(inputs) + input] order with their total event
+// count. It checks each waveform's event order and sets the lanes' bits
+// in initial ([input·W + word]).
+func resolveLanes(inputs []string, lanes []map[string]*Waveform, initial []uint64, W int) ([]*Waveform, int, error) {
+	waves := make([]*Waveform, 0, len(lanes)*len(inputs))
+	events := 0
+	for l, byInput := range lanes {
+		word, bit := l/MaxLanes, uint64(1)<<uint(l%MaxLanes)
+		for i, in := range inputs {
+			w, ok := byInput[in]
+			if !ok {
+				return nil, 0, fmt.Errorf("stoch: lane %d has no waveform for input %q", l, in)
+			}
+			if err := w.checkOrdered(); err != nil {
+				return nil, 0, fmt.Errorf("stoch: lane %d input %q: %w", l, in, err)
+			}
+			if w.Initial {
+				initial[i*W+word] |= bit
+			}
+			waves = append(waves, w)
+			events += len(w.Events)
+		}
+	}
+	return waves, events, nil
 }

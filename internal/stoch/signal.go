@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // Signal holds the two statistics the power model needs for one net.
@@ -206,24 +205,34 @@ func (s Signal) Clocked(cycles int, cycle float64, rng *rand.Rand) (*Waveform, e
 	return w, nil
 }
 
-// Merge combines per-input waveforms into one globally time-ordered event
-// trace, tagging each event with its input index. Simultaneous events keep
-// their input order (stable).
+// TaggedEvent is one event of a merged trace, tagged with its input index.
 type TaggedEvent struct {
 	Time  float64
 	Input int
 	Value bool
 }
 
-// MergeWaveforms flattens the given waveforms into a single time-ordered
-// event sequence.
+// MergeWaveforms combines per-input waveforms into one globally
+// time-ordered event trace, tagging each event with its input index.
+// Simultaneous events keep their input order, as a stable sort would.
+// Each waveform's events must be time-ordered, as Waveform promises.
 func MergeWaveforms(ws []*Waveform) []TaggedEvent {
-	var all []TaggedEvent
+	streams := make([][]Event, len(ws))
+	n := 0
 	for i, w := range ws {
-		for _, e := range w.Events {
+		streams[i] = w.Events
+		n += len(w.Events)
+	}
+	if n == 0 {
+		return nil
+	}
+	all := make([]TaggedEvent, 0, n)
+	merge := streamMerge[Event, float64]{key: eventTime}
+	merge.reset(streams)
+	for run, i, ok := merge.next(); ok; run, i, ok = merge.next() {
+		for _, e := range run {
 			all = append(all, TaggedEvent{Time: e.Time, Input: i, Value: e.Value})
 		}
 	}
-	sort.SliceStable(all, func(a, b int) bool { return all[a].Time < all[b].Time })
 	return all
 }

@@ -3,7 +3,7 @@ package stoch
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
 )
 
 // This file packs waveforms for the *timed* bit-parallel simulator. Unlike
@@ -38,13 +38,21 @@ func TicksIn(horizon, tick float64) int64 {
 // for lane. Snapping moves each event by at most half a tick (events
 // closer together than a tick may merge).
 func QuantizeWaveform(w *Waveform, tick float64, horizonTicks int64) []TickEvent {
-	var out []TickEvent
+	return appendQuantized(nil, w, tick, horizonTicks)
+}
+
+// appendQuantized appends QuantizeWaveform's result to dst. The events
+// must be time-ordered: the cut at the horizon and the collapse of
+// same-tick events both rely on it.
+func appendQuantized(dst []TickEvent, w *Waveform, tick float64, horizonTicks int64) []TickEvent {
+	start := len(dst)
+	out := dst
 	for _, e := range w.Events {
 		qt := int64(math.Round(e.Time / tick))
 		if qt > horizonTicks {
 			break // events are time-ordered; the rest are beyond the horizon too
 		}
-		if n := len(out); n > 0 && out[n-1].Tick == qt {
+		if n := len(out); n > start && out[n-1].Tick == qt {
 			out[n-1].Value = e.Value
 			continue
 		}
@@ -52,8 +60,8 @@ func QuantizeWaveform(w *Waveform, tick float64, horizonTicks int64) []TickEvent
 	}
 	// Drop collapsed no-ops in place (write index never passes read index).
 	val := w.Initial
-	kept := out[:0]
-	for _, te := range out {
+	kept := out[:start]
+	for _, te := range out[start:] {
 		if te.Value != val {
 			kept = append(kept, te)
 			val = te.Value
@@ -73,9 +81,9 @@ type InputToggle struct {
 }
 
 // TimedStimulus is a bit-packed Monte Carlo stimulus on a shared tick
-// grid: up to 64 independent input-vector sequences, one per bit lane, all
-// expressed as toggles at integer ticks. Built by PackTimedWaveforms;
-// consumed by the timed bit-parallel engine.
+// grid: up to Words·64 independent input-vector sequences, one per bit
+// lane, all expressed as toggles at integer ticks. Built by
+// PackTimedWaveforms; consumed by the timed bit-parallel engine.
 //
 // When packed with a positive guard, the tick axis is *cluster-aligned*:
 // each lane's activity clusters — maximal event runs separated by gaps no
@@ -169,7 +177,6 @@ func (ts *TimedStimulus) Validate() error {
 type timedEvent struct {
 	tick  int64
 	input int32
-	lane  int
 }
 
 // PackTimedWaveforms quantizes per-lane waveform sets onto the tick grid
@@ -178,7 +185,8 @@ type timedEvent struct {
 // waveform is snapped with QuantizeWaveform — at most half a tick of skew
 // per event, events beyond the horizon dropped — and the surviving
 // transitions of all lanes are merged onto one shared, sorted tick axis
-// as per-input toggle masks.
+// as per-input toggle masks. A waveform whose event times are NaN or
+// decreasing is an error.
 //
 // guard > 0 enables cluster alignment (see TimedStimulus): per lane,
 // consecutive events further apart than guard ticks start a new cluster;
@@ -186,6 +194,11 @@ type timedEvent struct {
 // start, preserving every intra-cluster offset. Pass the consuming
 // program's settle window (TimedProgram.SettleTicks) as the guard; 0
 // packs the original axis unchanged.
+//
+// Each lane's quantized input streams are merged by (tick, input); the
+// lanes, each still tick-ordered after alignment, are then merged by
+// tick, and each tick's toggles are gathered per (input, word) and
+// emitted in that order.
 func PackTimedWaveforms(inputs []string, lanes []map[string]*Waveform, horizon, tick float64, guard int64) (*TimedStimulus, error) {
 	if len(lanes) < 1 || len(lanes) > MaxPackLanes {
 		return nil, fmt.Errorf("stoch: %d lanes out of [1,%d]", len(lanes), MaxPackLanes)
@@ -207,56 +220,77 @@ func PackTimedWaveforms(inputs []string, lanes []map[string]*Waveform, horizon, 
 		Guard:        guard,
 		Initial:      make([]uint64, len(inputs)*W),
 	}
-	perLane := make([][]timedEvent, len(lanes))
-	for l, waves := range lanes {
-		for i, in := range inputs {
-			w, ok := waves[in]
-			if !ok {
-				return nil, fmt.Errorf("stoch: lane %d has no waveform for input %q", l, in)
-			}
-			if w.Initial {
-				ts.Initial[i*W+l/MaxLanes] |= 1 << uint(l%MaxLanes)
-			}
-			for _, te := range QuantizeWaveform(w, tick, ts.HorizonTicks) {
-				perLane[l] = append(perLane[l], timedEvent{tick: te.Tick, input: int32(i), lane: l})
+	waves, nEvents, err := resolveLanes(inputs, lanes, ts.Initial, W)
+	if err != nil {
+		return nil, err
+	}
+	quant := make([]TickEvent, 0, nEvents) // every stream quantized, in waves order
+	streams := make([][]TickEvent, len(waves))
+	for k, w := range waves {
+		start := len(quant)
+		quant = appendQuantized(quant, w, tick, ts.HorizonTicks)
+		streams[k] = quant[start:]
+	}
+	// Per lane, merge the input streams by (tick, input).
+	var (
+		events  = make([]timedEvent, 0, len(quant)) // every lane's merged events, lane after lane
+		perLane = make([][]timedEvent, len(lanes))
+		inMerge = streamMerge[TickEvent, int64]{key: func(te TickEvent) int64 { return te.Tick }}
+	)
+	for l := range lanes {
+		start := len(events)
+		inMerge.reset(streams[l*len(inputs) : (l+1)*len(inputs)])
+		for run, i, ok := inMerge.next(); ok; run, i, ok = inMerge.next() {
+			for _, te := range run {
+				events = append(events, timedEvent{tick: te.Tick, input: int32(i)})
 			}
 		}
-		sort.SliceStable(perLane[l], func(a, b int) bool { return perLane[l][a].tick < perLane[l][b].tick })
+		perLane[l] = events[start:]
 	}
 	if guard > 0 {
 		alignClusters(perLane, guard)
 	}
-	var evs []timedEvent
-	for _, le := range perLane {
-		evs = append(evs, le...)
-	}
-	sort.Slice(evs, func(a, b int) bool {
-		if evs[a].tick != evs[b].tick {
-			return evs[a].tick < evs[b].tick
-		}
-		if evs[a].input != evs[b].input {
-			return evs[a].input < evs[b].input
-		}
-		return evs[a].lane < evs[b].lane
-	})
-	for k := 0; k < len(evs); {
-		t := evs[k].tick
-		var group []InputToggle
-		for k < len(evs) && evs[k].tick == t {
-			in := evs[k].input
-			// Lanes are sorted within (tick, input), so each block word's
-			// toggle mask assembles in one contiguous run.
-			for k < len(evs) && evs[k].tick == t && evs[k].input == in {
-				word := int32(evs[k].lane / MaxLanes)
-				var mask uint64
-				for ; k < len(evs) && evs[k].tick == t && evs[k].input == in && int32(evs[k].lane/MaxLanes) == word; k++ {
-					mask |= 1 << uint(evs[k].lane%MaxLanes)
-				}
-				group = append(group, InputToggle{Input: in, Word: word, Lanes: mask})
+
+	// Merge the lanes by tick. A tick's toggles gather in a dense
+	// [input·W + word] mask buffer; the touched bitset emits them in
+	// (input, word) order and clears them for the next tick.
+	masks := make([]uint64, len(inputs)*W)
+	touched := make([]uint64, (len(masks)+63)/64)
+	var (
+		flat      []InputToggle // every tick's toggles, tick after tick
+		groupEnd  []int
+		laneMerge = streamMerge[timedEvent, int64]{key: func(e timedEvent) int64 { return e.tick }}
+	)
+	laneMerge.reset(perLane)
+	run, l, ok := laneMerge.next()
+	for ok {
+		t := run[0].tick
+		for ; ok && run[0].tick == t; run, l, ok = laneMerge.next() {
+			word, bit := l/MaxLanes, uint64(1)<<uint(l%MaxLanes)
+			for _, e := range run {
+				idx := int(e.input)*W + word
+				masks[idx] |= bit
+				touched[idx/64] |= 1 << uint(idx%64)
 			}
 		}
+		for tw, set := range touched {
+			for ; set != 0; set &= set - 1 {
+				idx := tw*64 + bits.TrailingZeros64(set)
+				flat = append(flat, InputToggle{Input: int32(idx / W), Word: int32(idx % W), Lanes: masks[idx]})
+				masks[idx] = 0
+			}
+			touched[tw] = 0
+		}
 		ts.Ticks = append(ts.Ticks, t)
-		ts.Toggles = append(ts.Toggles, group)
+		groupEnd = append(groupEnd, len(flat))
+	}
+	if len(groupEnd) > 0 {
+		ts.Toggles = make([][]InputToggle, len(groupEnd))
+		start := 0
+		for k, end := range groupEnd {
+			ts.Toggles[k] = flat[start:end:end]
+			start = end
+		}
 	}
 	return ts, nil
 }
