@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -49,5 +50,91 @@ func TestParseBenchLineMalformed(t *testing.T) {
 		if _, ok := parseBenchLine(line); ok {
 			t.Errorf("malformed line %q parsed", line)
 		}
+	}
+}
+
+func bench(name string, metrics map[string]float64) Benchmark {
+	return Benchmark{Name: name, Iterations: 1, Metrics: metrics}
+}
+
+func TestCompare(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		old, cur []Benchmark
+		want     Comparison
+	}{{
+		name: "shared metrics only, sorted",
+		old:  []Benchmark{bench("BenchmarkA", map[string]float64{"ns/op": 200, "allocs/op": 4, "uW": 1})},
+		cur:  []Benchmark{bench("BenchmarkA", map[string]float64{"ns/op": 50, "allocs/op": 0, "ns/gate": 50})},
+		want: Comparison{Ratios: []Ratio{
+			{Name: "BenchmarkA", Metric: "allocs/op", Old: 4, New: 0},
+			{Name: "BenchmarkA", Metric: "ns/op", Old: 200, New: 50},
+		}},
+	}, {
+		name: "GOMAXPROCS suffix ignored",
+		old:  []Benchmark{bench("BenchmarkPack/zero/A/lanes=64", map[string]float64{"ns/op": 10})},
+		cur:  []Benchmark{bench("BenchmarkPack/zero/A/lanes=64-4", map[string]float64{"ns/op": 5})},
+		want: Comparison{Ratios: []Ratio{{Name: "BenchmarkPack/zero/A/lanes=64", Metric: "ns/op", Old: 10, New: 5}}},
+	}, {
+		name: "repeated names summarized by the median",
+		old: []Benchmark{
+			bench("BenchmarkB-2", map[string]float64{"ns/op": 10}),
+			bench("BenchmarkB-2", map[string]float64{"ns/op": 30}),
+		},
+		cur: []Benchmark{
+			bench("BenchmarkB-2", map[string]float64{"ns/op": 9}),
+			bench("BenchmarkB-2", map[string]float64{"ns/op": 1}),
+			bench("BenchmarkB-2", map[string]float64{"ns/op": 5}),
+		},
+		want: Comparison{Ratios: []Ratio{{Name: "BenchmarkB", Metric: "ns/op", Old: 20, New: 5}}},
+	}, {
+		name: "benchmarks in one report only, new order kept",
+		old: []Benchmark{
+			bench("BenchmarkGone", map[string]float64{"ns/op": 1}),
+			bench("BenchmarkKept", map[string]float64{"ns/op": 2}),
+		},
+		cur: []Benchmark{
+			bench("BenchmarkNew", map[string]float64{"ns/op": 3}),
+			bench("BenchmarkKept", map[string]float64{"ns/op": 4}),
+		},
+		want: Comparison{
+			Ratios:  []Ratio{{Name: "BenchmarkKept", Metric: "ns/op", Old: 2, New: 4}},
+			OnlyOld: []string{"BenchmarkGone"},
+			OnlyNew: []string{"BenchmarkNew"},
+		},
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := compare(&Report{Benchmarks: tc.old}, &Report{Benchmarks: tc.cur})
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("compare = %+v, want %+v", got, tc.want)
+			}
+		})
+	}
+}
+
+func TestWriteComparison(t *testing.T) {
+	var b strings.Builder
+	err := writeComparison(&b, Comparison{
+		Ratios: []Ratio{
+			{Name: "BenchmarkA", Metric: "ns/op", Old: 200, New: 50},
+			{Name: "BenchmarkA", Metric: "allocs/op", Old: 0, New: 0},
+		},
+		OnlyNew: []string{"BenchmarkN"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
+	if len(lines) != 4 {
+		t.Fatalf("got %d lines:\n%s", len(lines), b.String())
+	}
+	if f := strings.Fields(lines[1]); f[len(f)-1] != "0.250" {
+		t.Errorf("ratio row %q, want new/old 0.250", lines[1])
+	}
+	if f := strings.Fields(lines[2]); f[len(f)-1] != "-" {
+		t.Errorf("zero-old row %q, want ratio -", lines[2])
+	}
+	if want := "2 shared metrics; 0 benchmarks only in old, 1 only in new"; lines[3] != want {
+		t.Errorf("summary %q, want %q", lines[3], want)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/gate"
 	"repro/internal/library"
 	"repro/internal/mcnc"
 	"repro/internal/stoch"
@@ -98,6 +99,13 @@ func TestAnalyzeConfigsErrors(t *testing.T) {
 	}
 	if _, err := AnalyzeConfigList(nil, nil, 1e-15, DefaultParams()); err != nil {
 		t.Errorf("empty candidate list should evaluate to empty, got %v", err)
+	}
+	wide := make([]stoch.Signal, 17)
+	for i := range wide {
+		wide[i] = stoch.Signal{P: 0.5, D: 1}
+	}
+	if _, err := AnalyzeConfigList(nil, wide, 1e-15, DefaultParams()); err == nil {
+		t.Error("more input signals than the weight table supports accepted")
 	}
 }
 
@@ -409,5 +417,119 @@ func TestIncrementalIDFastPaths(t *testing.T) {
 	}
 	if err := inc.SetConfigAt(len(order), cfgs[0]); err == nil {
 		t.Error("SetConfigAt accepted an out-of-range position")
+	}
+}
+
+// analyzerFixture returns a library cell's prototype with distinct pin
+// statistics, a load and the default parameters.
+func analyzerFixture(tb testing.TB, cell string) (g *gate.Gate, in []stoch.Signal, load float64, prm Params) {
+	tb.Helper()
+	g = library.Default().MustCell(cell).Proto
+	in = make([]stoch.Signal, len(g.Inputs))
+	for i := range in {
+		in[i] = stoch.Signal{P: 0.2 + 0.13*float64(i), D: 1e5 * float64(i+1)}
+	}
+	prm = DefaultParams()
+	return g, in, prm.OutputLoad(2), prm
+}
+
+// TestConfigAnalyzerZeroAlloc pins the optimizer's batched inner loop to
+// zero allocations once the analyzer's scratch and the orbit's templates
+// are warm, for a gate whose cell is a canonical orbit member (the
+// pointer-keyed template front; any committed configuration is one).
+func TestConfigAnalyzerZeroAlloc(t *testing.T) {
+	proto, in, load, prm := analyzerFixture(t, "aoi221")
+	g := proto.AllConfigs()[0]
+	var a ConfigAnalyzer
+	if _, err := a.AnalyzeConfigs(g, in, load, prm); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := a.AnalyzeConfigs(g, in, load, prm); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state AnalyzeConfigs allocates %v times per call", allocs)
+	}
+}
+
+// TestIncrementalSetConfigZeroAlloc pins the re-evaluation path of a
+// reordering commit (SetConfig → propagate → evalGate) to zero
+// allocations once the engine's scratch is warm and, as after the
+// optimizer's candidate search, the orbit's templates are cached.
+func TestIncrementalSetConfigZeroAlloc(t *testing.T) {
+	lib := library.Default()
+	c, err := mcnc.Load("b9", lib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pi := map[string]stoch.Signal{}
+	for i, in := range c.Inputs {
+		pi[in] = stoch.Signal{P: 0.3 + 0.04*float64(i%10), D: 1e5 * float64(1+i%3)}
+	}
+	inc, err := NewIncremental(c, pi, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The last gate with a reorderable cell: a high topological position
+	// also covers the frontier heap past small-integer boxing.
+	pos := -1
+	for i, g := range inc.Order() {
+		if len(g.Cell.AllConfigs()) > 1 {
+			pos = i
+		}
+	}
+	if pos < 0 {
+		t.Fatal("no reorderable gate in b9")
+	}
+	name := inc.Order()[pos].Name
+	cfgs := inc.Order()[pos].Cell.AllConfigs()
+	x, y := cfgs[0], cfgs[1]
+	in, err := inc.InputsAt(pos, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := AnalyzeConfigs(x, in, inc.LoadAt(pos), DefaultParams()); err != nil {
+		t.Fatal(err)
+	}
+	flip := func() {
+		if err := inc.SetConfig(name, x); err != nil {
+			t.Fatal(err)
+		}
+		if err := inc.SetConfig(name, y); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flip()
+	allocs := testing.AllocsPerRun(100, flip)
+	if allocs != 0 {
+		t.Errorf("SetConfig re-evaluation of %s (position %d of %d) allocates %v times per pair of commits",
+			name, pos, len(inc.Order()), allocs)
+	}
+}
+
+// BenchmarkAnalyzeConfigs times the optimizer's per-gate candidate search:
+// one ConfigAnalyzer.AnalyzeConfigs call over a cell's whole orbit, warm
+// scratch and templates, gate given as a canonical orbit member.
+func BenchmarkAnalyzeConfigs(b *testing.B) {
+	for _, cell := range []string{"nand2", "oai21", "aoi221"} {
+		b.Run(cell, func(b *testing.B) {
+			proto, in, load, prm := analyzerFixture(b, cell)
+			g := proto.AllConfigs()[0]
+			var a ConfigAnalyzer
+			if _, err := a.AnalyzeConfigs(g, in, load, prm); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := a.AnalyzeConfigs(g, in, load, prm); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/gate")
+			b.ReportMetric(float64(len(g.AllConfigs())), "configs")
+		})
 	}
 }

@@ -1,8 +1,8 @@
 package core
 
 import (
-	"container/heap"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -62,8 +62,8 @@ type Incremental struct {
 	frontier   posHeap
 	inFrontier []bool
 
-	inBuf   []stoch.Signal // scratch pin signals for evalGate
-	probBuf []float64      // scratch pin probabilities for evalGate
+	inBuf     []stoch.Signal // scratch pin signals for evalGate
+	weightBuf []float64      // scratch minterm weights for evalGate
 
 	recomputed int // gate-model evaluations since construction (diagnostics)
 }
@@ -72,18 +72,46 @@ type gateState struct {
 	power, intern, outp float64
 }
 
-// posHeap is a min-heap of topological positions: the propagation frontier.
+// posHeap is a min-heap of topological positions: the propagation
+// frontier. It is typed rather than a container/heap.Interface so that
+// pushing and popping a position never boxes it into an interface (an
+// allocation for every position past 255).
 type posHeap []int
 
-func (h posHeap) Len() int            { return len(h) }
-func (h posHeap) Less(i, j int) bool  { return h[i] < h[j] }
-func (h posHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *posHeap) Push(x interface{}) { *h = append(*h, x.(int)) }
-func (h *posHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
+func (h *posHeap) push(x int) {
+	s := append(*h, x)
+	for j := len(s) - 1; j > 0; {
+		up := (j - 1) / 2
+		if s[up] <= s[j] {
+			break
+		}
+		s[up], s[j] = s[j], s[up]
+		j = up
+	}
+	*h = s
+}
+
+func (h *posHeap) pop() int {
+	s := *h
+	x := s[0]
+	n := len(s) - 1
+	s[0] = s[n]
+	s = s[:n]
+	for j := 0; ; {
+		c := 2*j + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && s[c+1] < s[c] {
+			c++
+		}
+		if s[j] <= s[c] {
+			break
+		}
+		s[j], s[c] = s[c], s[j]
+		j = c
+	}
+	*h = s
 	return x
 }
 
@@ -203,9 +231,9 @@ func (inc *Incremental) initialAnalysis(workers int, onGate func(*Incremental, i
 	}
 	if workers <= 1 {
 		var inBuf []stoch.Signal
-		var probBuf []float64
+		var weightBuf []float64
 		for i := 0; i < n; i++ {
-			if err := inc.evalInit(i, &inBuf, &probBuf); err != nil {
+			if err := inc.evalInit(i, &inBuf, &weightBuf); err != nil {
 				return err
 			}
 			if onGate != nil {
@@ -250,9 +278,9 @@ func (inc *Incremental) initialAnalysis(workers int, onGate func(*Incremental, i
 			go func() {
 				defer wg.Done()
 				var inBuf []stoch.Signal
-				var probBuf []float64
+				var weightBuf []float64
 				for i := range ready {
-					errs[i] = inc.evalInit(i, &inBuf, &probBuf)
+					errs[i] = inc.evalInit(i, &inBuf, &weightBuf)
 					// Unblock downstream gates before running the hook:
 					// the search work rides behind the propagation front.
 					for _, r := range inc.reader[inc.outID[i]] {
@@ -295,28 +323,26 @@ func (inc *Incremental) initialAnalysis(workers int, onGate func(*Incremental, i
 // with caller-owned scratch (safe for wavefront workers), no delta
 // bookkeeping (totals are folded afterwards) and no frontier dirtying
 // (the initial pass covers every gate already).
-func (inc *Incremental) evalInit(i int, inBuf *[]stoch.Signal, probBuf *[]float64) error {
+func (inc *Incremental) evalInit(i int, inBuf *[]stoch.Signal, weightBuf *[]float64) error {
 	g := inc.order[i]
 	ids := inc.pins[i]
 	if cap(*inBuf) < len(ids) {
 		*inBuf = make([]stoch.Signal, len(ids))
-		*probBuf = make([]float64, len(ids))
 	}
 	in := (*inBuf)[:len(ids)]
-	probs := (*probBuf)[:len(ids)]
 	for k, id := range ids {
 		if !inc.known[id] {
 			return fmt.Errorf("core: instance %s reads unannotated net %q", g.Name, inc.netName[id])
 		}
 		in[k] = inc.stats[id]
-		probs[k] = in[k].P
 	}
 	tmpl, err := templates.get(g.Cell)
 	if err != nil {
 		return fmt.Errorf("core: instance %s: %w", g.Name, err)
 	}
 	inc.tmpl[i] = tmpl
-	a := evalTemplate(tmpl, in, probs, inc.load[i], inc.prm)
+	*weightBuf = pinWeights(in, *weightBuf)
+	a := evalTemplate(tmpl, in, *weightBuf, inc.load[i], inc.prm)
 	inc.gates[i] = gateState{power: a.Power, intern: a.InternalPower, outp: a.OutputPower}
 	out := inc.outID[i]
 	inc.stats[out] = a.Out
@@ -334,16 +360,13 @@ func (inc *Incremental) evalGate(i int) error {
 	ids := inc.pins[i]
 	if cap(inc.inBuf) < len(ids) {
 		inc.inBuf = make([]stoch.Signal, len(ids))
-		inc.probBuf = make([]float64, len(ids))
 	}
 	in := inc.inBuf[:len(ids)]
-	probs := inc.probBuf[:len(ids)]
 	for k, id := range ids {
 		if !inc.known[id] {
 			return fmt.Errorf("core: instance %s reads unannotated net %q", g.Name, inc.netName[id])
 		}
 		in[k] = inc.stats[id]
-		probs[k] = in[k].P
 	}
 	tmpl := inc.tmpl[i]
 	if tmpl == nil {
@@ -353,7 +376,8 @@ func (inc *Incremental) evalGate(i int) error {
 		}
 		inc.tmpl[i] = tmpl
 	}
-	a := evalTemplate(tmpl, in, probs, inc.load[i], inc.prm)
+	inc.weightBuf = pinWeights(in, inc.weightBuf)
+	a := evalTemplate(tmpl, in, inc.weightBuf, inc.load[i], inc.prm)
 	inc.recomputed++
 	old := inc.gates[i]
 	inc.power += a.Power - old.power
@@ -374,7 +398,7 @@ func (inc *Incremental) dirtyReaders(net int32) {
 	for _, r := range inc.reader[net] {
 		if !inc.inFrontier[r] {
 			inc.inFrontier[r] = true
-			heap.Push(&inc.frontier, int(r))
+			inc.frontier.push(int(r))
 		}
 	}
 }
@@ -384,8 +408,8 @@ func (inc *Incremental) dirtyReaders(net int32) {
 // increasing order and a gate's inputs can only be dirtied by gates at
 // strictly smaller positions.
 func (inc *Incremental) propagate() error {
-	for inc.frontier.Len() > 0 {
-		i := heap.Pop(&inc.frontier).(int)
+	for len(inc.frontier) > 0 {
+		i := inc.frontier.pop()
 		inc.inFrontier[i] = false
 		if err := inc.evalGate(i); err != nil {
 			return err
@@ -434,7 +458,9 @@ func (inc *Incremental) SetConfigAt(i int, cfg *gate.Gate) error {
 	if err := checkPinBinding(g, cfg); err != nil {
 		return err
 	}
-	if cfg.ShapeKey() != g.Cell.ShapeKey() {
+	// Membership in the cell's memoized orbit settles the common case
+	// (canonical configurations) without building shape strings.
+	if !slices.Contains(g.Cell.AllConfigs(), cfg) && cfg.ShapeKey() != g.Cell.ShapeKey() {
 		return fmt.Errorf("core: instance %s: config %s is not a reordering of cell %s",
 			g.Name, cfg.Name, g.Cell.Name)
 	}
@@ -442,7 +468,7 @@ func (inc *Incremental) SetConfigAt(i int, cfg *gate.Gate) error {
 	inc.tmpl[i] = nil
 	if !inc.inFrontier[i] {
 		inc.inFrontier[i] = true
-		heap.Push(&inc.frontier, i)
+		inc.frontier.push(i)
 	}
 	return inc.propagate()
 }
@@ -483,7 +509,7 @@ func (inc *Incremental) SetConfigEvaluated(i int, cp ConfigPower) error {
 		// Repropagate the cone from this gate to stay correct.
 		if !inc.inFrontier[i] {
 			inc.inFrontier[i] = true
-			heap.Push(&inc.frontier, i)
+			inc.frontier.push(i)
 		}
 		return inc.propagate()
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/circuit"
@@ -233,6 +234,37 @@ func TestIncrementalRejectsBadConfig(t *testing.T) {
 	if nor.ShapeKey() != wide.Cell.ShapeKey() {
 		if err := inc.SetConfig(wide.Name, nor); err == nil {
 			t.Fatalf("SetConfig accepted %s for an instance of %s", nor.Name, wide.Cell.Name)
+		}
+	}
+}
+
+// TestPosHeapPopsMinimum checks the typed frontier heap: with pushes and
+// pops interleaved, every pop returns the least position pushed and not
+// yet popped.
+func TestPosHeapPopsMinimum(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 50; trial++ {
+		var h posHeap
+		var live []int // reference: positions pushed and not yet popped
+		popCheck := func() {
+			want := slices.Min(live)
+			live = slices.DeleteFunc(live, func(x int) bool { return x == want })
+			if got := h.pop(); got != want {
+				t.Fatalf("trial %d: pop %d, want %d", trial, got, want)
+			}
+		}
+		for k, x := range rng.Perm(1 + rng.Intn(600)) {
+			h.push(x)
+			live = append(live, x)
+			if k%7 == 6 {
+				popCheck()
+			}
+		}
+		for len(live) > 0 {
+			popCheck()
+		}
+		if len(h) != 0 {
+			t.Fatalf("trial %d: %d positions left in the heap", trial, len(h))
 		}
 	}
 }

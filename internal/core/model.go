@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/gate"
+	"repro/internal/logic"
 	"repro/internal/stoch"
 )
 
@@ -47,22 +48,21 @@ func AnalyzeGate(g *gate.Gate, in []stoch.Signal, loadCap float64, prm Params) (
 	if loadCap < 0 {
 		return nil, fmt.Errorf("core: negative load capacitance %v", loadCap)
 	}
-	probs := make([]float64, len(in))
 	for i, s := range in {
 		if err := s.Validate(); err != nil {
 			return nil, fmt.Errorf("core: gate %s input %s: %w", g.Name, g.Inputs[i], err)
 		}
-		probs[i] = s.P
 	}
 	tmpl, err := templates.get(g)
 	if err != nil {
 		return nil, err
 	}
+	w := pinWeights(in, nil)
 	a := &GateAnalysis{Gate: g, Inputs: append([]stoch.Signal(nil), in...)}
 	halfCV2 := 0.5 * prm.Vdd * prm.Vdd
 	for _, tn := range tmpl.nodes {
-		ph := tn.h.Prob(probs)
-		pg := tn.g.Prob(probs)
+		ph := tn.h.WeightedProb(w)
+		pg := tn.g.WeightedProb(w)
 		na := NodeAnalysis{
 			Node:    tn.id,
 			Name:    tn.name,
@@ -80,8 +80,8 @@ func AnalyzeGate(g *gate.Gate, in []stoch.Signal, loadCap float64, prm Params) (
 			na.P = ph / (ph + pg)
 		}
 		for i := range in {
-			dh := tn.dh[i].Prob(probs)
-			dg := tn.dg[i].Prob(probs)
+			dh := tn.dh[i].WeightedProb(w)
+			dg := tn.dg[i].WeightedProb(w)
 			t := in[i].D * ((1-na.P)*dh + na.P*dg)
 			na.TByIn[i] = t
 			na.T += t
@@ -115,23 +115,24 @@ type ConfigPower struct {
 // evalTemplate evaluates the power model for one configuration template
 // without allocating: the summary-only counterpart of AnalyzeGate's node
 // loop, arithmetic kept operation-for-operation identical so both paths
-// produce bit-equal results. probs must hold in[i].P per pin; the caller
-// computes it once and shares it across candidates.
-func evalTemplate(t *template, in []stoch.Signal, probs []float64, loadCap float64, prm Params) ConfigPower {
+// produce bit-equal results. w must hold the minterm weights of the pin
+// probabilities (pinWeights); the caller builds them once per gate
+// evaluation and shares them across candidates.
+func evalTemplate(t *template, in []stoch.Signal, w []float64, loadCap float64, prm Params) ConfigPower {
 	halfCV2 := 0.5 * prm.Vdd * prm.Vdd
 	var cp ConfigPower
 	for i := range t.nodes {
 		tn := &t.nodes[i]
-		ph := tn.h.Prob(probs)
-		pg := tn.g.Prob(probs)
+		ph := tn.h.WeightedProb(w)
+		pg := tn.g.WeightedProb(w)
 		var p float64
 		if ph+pg > 0 {
 			p = ph / (ph + pg)
 		}
 		var total float64
 		for k := range in {
-			dh := tn.dh[k].Prob(probs)
-			dg := tn.dg[k].Prob(probs)
+			dh := tn.dh[k].WeightedProb(w)
+			dg := tn.dg[k].WeightedProb(w)
 			total += in[k].D * ((1-p)*dh + p*dg)
 		}
 		c := prm.Cj * float64(tn.sources)
@@ -150,20 +151,33 @@ func evalTemplate(t *template, in []stoch.Signal, probs []float64, loadCap float
 	return cp
 }
 
-// ConfigAnalyzer amortizes the batch evaluator's scratch (the probability
-// vector and the result slice) across many calls — one analyzer per
+// pinWeights returns the minterm weights of the pins' probabilities
+// in[i].P (logic.MintermWeights), reusing dst. Every model evaluation of
+// a gate — all its nodes, their boolean differences and every candidate
+// configuration — sums over this one table. The signals must already be
+// validated and number at most logic.MaxVars.
+func pinWeights(in []stoch.Signal, dst []float64) []float64 {
+	var p [logic.MaxVars]float64
+	for i, s := range in {
+		p[i] = s.P
+	}
+	return logic.MintermWeights(p[:len(in)], dst)
+}
+
+// ConfigAnalyzer amortizes the batch evaluator's scratch (the minterm
+// weight table and the result slice) across many calls — one analyzer per
 // worker goroutine in the optimizer's hot loop, so a whole optimization
 // allocates nothing per gate. Results returned by its methods are valid
 // until the next call; copy the ConfigPower values to retain them. The
 // zero value is ready to use; it is not safe for concurrent use.
 type ConfigAnalyzer struct {
-	probs []float64
-	out   []ConfigPower
+	weights []float64
+	out     []ConfigPower
 }
 
 // AnalyzeConfigs evaluates every configuration of the gate's cell against
 // one input-signal/load vector in a single pass: parameters and signals
-// are validated once, the probability vector is computed once, and the
+// are validated once, the minterm weight table is built once, and the
 // whole orbit's templates come from one cached lookup. Results are in
 // AllConfigs order (sorted by ConfigKey), so selection over them is
 // deterministic. This is the optimizer's batched inner loop.
@@ -171,7 +185,7 @@ func (a *ConfigAnalyzer) AnalyzeConfigs(g *gate.Gate, in []stoch.Signal, loadCap
 	if len(in) != len(g.Inputs) {
 		return nil, fmt.Errorf("core: gate %s has %d inputs, got %d signals", g.Name, len(g.Inputs), len(in))
 	}
-	probs, err := a.prepare(g, in, loadCap, prm)
+	w, err := a.prepare(g, in, loadCap, prm)
 	if err != nil {
 		return nil, err
 	}
@@ -181,7 +195,7 @@ func (a *ConfigAnalyzer) AnalyzeConfigs(g *gate.Gate, in []stoch.Signal, loadCap
 	}
 	out := a.results(len(ot.cfgs))
 	for i, tmpl := range ot.tmpl {
-		out[i] = evalTemplate(tmpl, in, probs, loadCap, prm)
+		out[i] = evalTemplate(tmpl, in, w, loadCap, prm)
 		out[i].Config = ot.cfgs[i]
 	}
 	return out, nil
@@ -192,7 +206,7 @@ func (a *ConfigAnalyzer) AnalyzeConfigs(g *gate.Gate, in []stoch.Signal, loadCap
 // the delay-feasible survivors of the delay-neutral mode. Results keep
 // the input order.
 func (a *ConfigAnalyzer) AnalyzeConfigList(cfgs []*gate.Gate, in []stoch.Signal, loadCap float64, prm Params) ([]ConfigPower, error) {
-	probs, err := a.prepare(nil, in, loadCap, prm)
+	w, err := a.prepare(nil, in, loadCap, prm)
 	if err != nil {
 		return nil, err
 	}
@@ -205,14 +219,15 @@ func (a *ConfigAnalyzer) AnalyzeConfigList(cfgs []*gate.Gate, in []stoch.Signal,
 		if err != nil {
 			return nil, err
 		}
-		out[i] = evalTemplate(tmpl, in, probs, loadCap, prm)
+		out[i] = evalTemplate(tmpl, in, w, loadCap, prm)
 		out[i].Config = cfg
 	}
 	return out, nil
 }
 
-// prepare validates the shared evaluation inputs and fills the analyzer's
-// probability scratch. g is optional and only names error messages.
+// prepare validates the shared evaluation inputs and builds the
+// analyzer's minterm weight table. g is optional and only names error
+// messages.
 func (a *ConfigAnalyzer) prepare(g *gate.Gate, in []stoch.Signal, loadCap float64, prm Params) ([]float64, error) {
 	if err := prm.Validate(); err != nil {
 		return nil, err
@@ -220,10 +235,9 @@ func (a *ConfigAnalyzer) prepare(g *gate.Gate, in []stoch.Signal, loadCap float6
 	if loadCap < 0 {
 		return nil, fmt.Errorf("core: negative load capacitance %v", loadCap)
 	}
-	if cap(a.probs) < len(in) {
-		a.probs = make([]float64, len(in))
+	if len(in) > logic.MaxVars {
+		return nil, fmt.Errorf("core: %d input signals exceed the model's %d-input limit", len(in), logic.MaxVars)
 	}
-	probs := a.probs[:len(in)]
 	for i, s := range in {
 		if err := s.Validate(); err != nil {
 			if g != nil {
@@ -231,9 +245,9 @@ func (a *ConfigAnalyzer) prepare(g *gate.Gate, in []stoch.Signal, loadCap float6
 			}
 			return nil, fmt.Errorf("core: input %d: %w", i, err)
 		}
-		probs[i] = s.P
 	}
-	return probs, nil
+	a.weights = pinWeights(in, a.weights)
+	return a.weights, nil
 }
 
 // results returns the analyzer's result scratch resized to n.
@@ -266,20 +280,19 @@ func OutputStats(g *gate.Gate, in []stoch.Signal) (stoch.Signal, error) {
 	if len(in) != len(g.Inputs) {
 		return stoch.Signal{}, fmt.Errorf("core: gate %s has %d inputs, got %d signals", g.Name, len(g.Inputs), len(in))
 	}
-	probs := make([]float64, len(in))
 	for i, s := range in {
 		if err := s.Validate(); err != nil {
 			return stoch.Signal{}, fmt.Errorf("core: gate %s input %s: %w", g.Name, g.Inputs[i], err)
 		}
-		probs[i] = s.P
 	}
 	f, err := g.Func()
 	if err != nil {
 		return stoch.Signal{}, err
 	}
-	out := stoch.Signal{P: f.Prob(probs)}
+	w := pinWeights(in, nil)
+	out := stoch.Signal{P: f.WeightedProb(w)}
 	for i := range in {
-		out.D += f.Diff(i).Prob(probs) * in[i].D
+		out.D += f.Diff(i).WeightedProb(w) * in[i].D
 	}
 	return out, nil
 }

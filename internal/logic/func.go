@@ -285,7 +285,9 @@ func (f Func) Support() []int {
 // Prob returns the probability that f is 1 when each variable i is an
 // independent 0-1 random variable with P(xi=1) = p[i]. This is the
 // Parker–McCluskey signal probability: Σ over on-set minterms of the
-// product of per-variable probabilities.
+// product of per-variable probabilities. Callers that evaluate many
+// functions under one p build the weights once with MintermWeights and
+// call WeightedProb; the result is bit-identical.
 func (f Func) Prob(p []float64) float64 {
 	if !f.valid() {
 		panic("logic: use of zero Func")
@@ -293,29 +295,58 @@ func (f Func) Prob(p []float64) float64 {
 	if len(p) != f.n {
 		panic(fmt.Sprintf("logic: Prob needs %d probabilities, got %d", f.n, len(p)))
 	}
+	var buf [64]float64 // the whole table for gate-sized n ≤ 6
+	return f.WeightedProb(MintermWeights(p, buf[:0]))
+}
+
+// MintermWeights fills w[m] = P(minterm m) for n = len(p) independent
+// variables with P(xi=1) = p[i], reusing dst when it has room for the
+// 2^n weights. The table doubles over the variables in ascending order,
+// so each weight is the product ((1·x0)·x1)·…·x(n-1), with xi = p[i] or
+// 1-p[i]: the same factors in the same order as a per-minterm product.
+// It panics if n exceeds MaxVars or a p[i] is outside [0,1] or NaN.
+func MintermWeights(p, dst []float64) []float64 {
+	checkVars(len(p))
 	for i, pi := range p {
-		if pi < 0 || pi > 1 {
+		if !(pi >= 0 && pi <= 1) {
 			panic(fmt.Sprintf("logic: probability p[%d]=%g out of [0,1]", i, pi))
 		}
 	}
-	// Recursive Shannon expansion with memoization would be faster for
-	// sparse supports, but n ≤ 16 and gate functions have n ≤ 6; the
-	// direct sum is simple and exact.
+	size := 1 << len(p)
+	if cap(dst) < size {
+		dst = make([]float64, size)
+	}
+	w := dst[:size]
+	w[0] = 1
+	for i, pi := range p {
+		half := 1 << i
+		lo, hi := w[:half], w[half:2*half]
+		q := 1 - pi
+		for m, x := range lo {
+			hi[m] = x * pi
+			lo[m] = x * q
+		}
+	}
+	return w
+}
+
+// WeightedProb returns Σ w[m] over the on-set minterms m of f, added in
+// ascending m. With w from MintermWeights(p, …) it equals f.Prob(p) bit
+// for bit. w must hold 2^n weights.
+func (f Func) WeightedProb(w []float64) float64 {
+	if !f.valid() {
+		panic("logic: use of zero Func")
+	}
+	if len(w) != 1<<f.n {
+		panic(fmt.Sprintf("logic: WeightedProb needs %d weights, got %d", 1<<f.n, len(w)))
+	}
 	total := 0.0
-	size := uint(1) << f.n
-	for m := uint(0); m < size; m++ {
-		if !f.Eval(m) {
-			continue
+	for k, word := range f.words {
+		base := k << 6
+		for word != 0 {
+			total += w[base+bits.TrailingZeros64(word)]
+			word &= word - 1
 		}
-		term := 1.0
-		for i := 0; i < f.n; i++ {
-			if m>>i&1 == 1 {
-				term *= p[i]
-			} else {
-				term *= 1 - p[i]
-			}
-		}
-		total += term
 	}
 	return total
 }

@@ -350,10 +350,20 @@ func BenchmarkProb8Var(b *testing.B) {
 	for i := range p {
 		p[i] = rng.Float64()
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = f.Prob(p)
-	}
+	// Prob builds the weight table per call; WeightedProb is the per-
+	// function cost once a caller shares one table across many functions.
+	b.Run("Prob", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			_ = f.Prob(p)
+		}
+	})
+	b.Run("WeightedProb", func(b *testing.B) {
+		w := MintermWeights(p, nil)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_ = f.WeightedProb(w)
+		}
+	})
 }
 
 func BenchmarkDiff10Var(b *testing.B) {
